@@ -27,6 +27,12 @@ the perf trajectory is tracked across PRs:
   selection loops (``lazy=True`` vs ``lazy=False``), on the standard
   LargeRandSet shape and on a wide variant where the available set — and
   so the naive O(n²) rescan — is large.
+* **growth** — wall-clock growth of the shipped heuristics (auto kernel
+  backend) on random DAGs of n = 1000..8000 tasks on MIRAGE bounded at
+  0.8x the HEFT peak: the median and IQR of ``GROWTH_REPEATS`` runs
+  per size, and a least-squares log-log slope per algorithm (the
+  fitted exponent of ``time ~ n^k``), gated in CI by
+  ``scripts/check_speedup.py --max-growth-exponent``.
 * **sweep** (with ``--jobs N``) — a Figure-12-style normalised sweep run
   serially and sharded over N worker processes; the cells are asserted
   identical and the wall-clock speedup reported.  ``cpu_count`` is
@@ -41,6 +47,7 @@ import argparse
 import math
 import os
 import platform as platform_mod
+import statistics
 import sys
 import time
 
@@ -52,16 +59,20 @@ from repro.core.platform import Platform
 from repro.core.validation import validate_schedule
 from repro.dags.daggen import random_dag
 from repro.dags.datasets import large_rand_set
-from repro.experiments.figures import RAND_PLATFORM
+from repro.experiments.figures import MIRAGE_PLATFORM, RAND_PLATFORM
 from repro.experiments.sweep import default_alphas, normalized_sweep, spread_speeds
 from repro.scheduling.heft import heft
-from repro.scheduling.kernel import available_backends
+from repro.scheduling.kernel import available_backends, resolve_backend
 from repro.scheduling.memheft import memheft
 from repro.scheduling.memminmin import memminmin
 from repro.scheduling.state import SchedulerState
 from repro.scheduling.sufferage import memsufferage
 
 SIZES = (25, 50, 100, 200)
+
+#: Timed runs per size in the growth section: enough for a median and
+#: quartiles at a few minutes for n = 1000..8000.
+GROWTH_REPEATS = 3
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -316,6 +327,67 @@ def bench_hetero(size: int, spreads=(0.0, 0.25, 0.5)) -> list[dict]:
     return rows
 
 
+def loglog_slope(sizes, seconds) -> float:
+    """Least-squares slope of log(seconds) against log(n)."""
+    xs = [math.log(n) for n in sizes]
+    ys = [math.log(t) for t in seconds]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))
+
+
+def bench_growth(sizes) -> dict:
+    """Wall-clock growth of the shipped heuristics with n, bounded at 0.8x
+    the HEFT peak on MIRAGE.  Repeats are interleaved across algorithms;
+    every repeat must reproduce the first run's placements, and the
+    first run's schedule is validated outside the timing."""
+    heuristics = [("memheft", memheft), ("memminmin", memminmin),
+                  ("memsufferage", memsufferage)]
+    rows = []
+    for size in sizes:
+        graph = random_dag(size=size, rng=size,
+                           w_range=(1, 100), c_range=(1, 100),
+                           f_range=(1, 100))
+        ref = heft(graph, MIRAGE_PLATFORM)
+        platform = MIRAGE_PLATFORM.with_uniform_bound(
+            0.8 * max(ref.meta["peak_blue"], ref.meta["peak_red"]))
+        runs = {name: [] for name, _ in heuristics}
+        first = {}
+        for _ in range(GROWTH_REPEATS):
+            for name, fn in heuristics:
+                t0 = time.perf_counter()
+                schedule = fn(graph, platform)
+                runs[name].append(time.perf_counter() - t0)
+                if name in first:
+                    _assert_identical({"first": first[name],
+                                       "repeat": schedule}, "first",
+                                      graph, name)
+                else:
+                    validate_schedule(graph, platform, schedule)
+                    first[name] = schedule
+        for name, _ in heuristics:
+            q1, median, q3 = statistics.quantiles(runs[name], n=4,
+                                                  method="inclusive")
+            print(f"growth    n={size:5d} {name:12s} median={median:7.3f}s "
+                  f"iqr={q3 - q1:6.3f}s runs={len(runs[name])}")
+            rows.append({
+                "n": size, "algorithm": name, "median_s": median,
+                "q1_s": q1, "q3_s": q3, "iqr_s": q3 - q1,
+                "runs_s": runs[name], "makespan": first[name].makespan,
+            })
+    slopes = {}
+    for name, _ in heuristics:
+        own = [r for r in rows if r["algorithm"] == name]
+        slopes[name] = loglog_slope([r["n"] for r in own],
+                                    [r["median_s"] for r in own])
+        print(f"growth    {name:12s} log-log slope {slopes[name]:.2f}")
+    return {
+        "platform": "MIRAGE 12+3", "bound": "0.8x HEFT peak",
+        "backend": resolve_backend().name, "repeats": GROWTH_REPEATS,
+        "sizes": list(sizes), "rows": rows, "slopes": slopes,
+    }
+
+
 def bench_sweep(jobs: int, n_graphs: int, size: int, n_alphas: int) -> dict:
     """Figure-12-style normalised sweep, serial vs sharded over ``jobs``
     processes, cells asserted byte-identical."""
@@ -347,8 +419,8 @@ def bench_sweep(jobs: int, n_graphs: int, size: int, n_alphas: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="engine benchmarks (kernel / selection / sweep); "
-                    "emits BENCH_scaling.json")
+        description="engine benchmarks (kernel / selection / growth / "
+                    "sweep); emits BENCH_scaling.json")
     parser.add_argument("sizes", nargs="*", type=int, default=None,
                         help="graph sizes for the kernel/selection benches "
                              "(default: 500 1000 2000)")
@@ -363,8 +435,12 @@ def main(argv=None) -> int:
                         help="tasks per graph in the sweep bench")
     parser.add_argument("--sweep-alphas", type=int, default=8,
                         help="alpha grid points in the sweep bench")
+    parser.add_argument("--growth-sizes", nargs="+", type=int,
+                        default=[1000, 2000, 4000, 8000],
+                        help="graph sizes for the growth section")
     parser.add_argument("--skip-kernel", action="store_true")
     parser.add_argument("--skip-selection", action="store_true")
+    parser.add_argument("--skip-growth", action="store_true")
     parser.add_argument("--hetero", action="store_true",
                         help="also run the heterogeneous (per-processor "
                              "speeds) mode: speed-spread ladder on a 4+2 "
@@ -376,7 +452,7 @@ def main(argv=None) -> int:
 
     report = {
         "bench": "scaling",
-        "schema_version": 2,
+        "schema_version": 3,
         "backends": list(available_backends()),
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": sys.version.split()[0],
@@ -393,6 +469,10 @@ def main(argv=None) -> int:
               "(identical schedules asserted)")
         report["selection"] = [row for n in sizes
                                for row in bench_selection(n)]
+    if not args.skip_growth:
+        print("wall-clock growth with n, bounded at 0.8x the HEFT peak "
+              "(repeats asserted identical)")
+        report["growth"] = bench_growth(args.growth_sizes)
     if args.hetero:
         print("heterogeneous kernel: speed-spread ladder "
               "(validated; spread 0 asserted == homogeneous)")

@@ -7,6 +7,12 @@ ROADMAP's long-open "needs a multi-core runner" item):
 
 * ``BENCH_scaling.json`` — the ``--jobs N`` sweep must be at least
   ``--min-speedup`` times faster than serial, with identical cells.
+* ``BENCH_scaling.json`` with ``--max-growth-exponent K`` — the
+  ``growth`` section's least-squares log-log slope of MemHEFT's median
+  wall-clock against n must stay at most ``K`` (a single-thread gate:
+  it holds on one-core runners too).  Only MemHEFT is gated; the
+  MemMinMin/MemSufferage slopes are reported but carry their
+  selectors' cost.
 * ``BENCH_service.json`` — the ``/batch`` workers path must beat the
   serial batch by the same factor, with identical results.
 * ``BENCH_distributed.json`` (optional) — the multi-host sweep must at
@@ -107,6 +113,25 @@ def check_report(kind: str, path: str, min_speedup: float) -> list[str]:
         print(f"{gate['label']}: {section['speedup']:.2f}x >= "
               f"{min_speedup:g}x with {config} OK")
     return problems
+
+
+def check_growth_report(path: str, max_exponent: float) -> list[str]:
+    """Gate ``BENCH_scaling.json``'s ``growth`` section: MemHEFT's fitted
+    wall-clock exponent must be at most ``max_exponent``."""
+    growth = json.loads(Path(path).read_text()).get("growth")
+    if growth is None:
+        return [f"{path}: no 'growth' section — run bench_scaling.py "
+                "without --skip-growth"]
+    slope = growth["slopes"].get("memheft")
+    if slope is None:
+        return [f"{path}: growth section has no memheft slope"]
+    sizes = "/".join(str(n) for n in growth["sizes"])
+    if slope > max_exponent:
+        return [f"{path}: memheft wall-clock grows as n^{slope:.2f} > "
+                f"allowed n^{max_exponent:g} (n = {sizes})"]
+    print(f"scaling  growth  : memheft n^{slope:.2f} <= n^{max_exponent:g} "
+          f"(n = {sizes}, {growth['repeats']} runs each) OK")
+    return []
 
 
 def check_faults_report(path: str, max_overhead_pct: float) -> list[str]:
@@ -354,6 +379,10 @@ def main(argv=None) -> int:
                         help="required best-config compiled-over-numpy "
                              "kernel_ms ratio (skipped without compiled "
                              "rows)")
+    parser.add_argument("--max-growth-exponent", type=float, default=None,
+                        help="gate the --scaling report's growth section: "
+                             "allowed log-log slope of MemHEFT wall-clock "
+                             "against n (default: not gated)")
     parser.add_argument("--max-checkpoint-overhead", type=float,
                         default=5.0,
                         help="allowed checkpoint-journal overhead in "
@@ -377,6 +406,9 @@ def main(argv=None) -> int:
     problems: list[str] = []
     if args.scaling:
         problems += check_report("scaling", args.scaling, args.min_speedup)
+        if args.max_growth_exponent is not None:
+            problems += check_growth_report(args.scaling,
+                                            args.max_growth_exponent)
     if args.service:
         problems += check_report("service", args.service, args.min_speedup)
     if args.distributed:

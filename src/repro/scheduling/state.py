@@ -516,8 +516,8 @@ class SchedulerState:
         # MemoryProfile.add_batch per touched profile below: same events
         # in the same per-profile order as the historical per-edge add()
         # calls (profiles are independent, so cross-profile interleaving
-        # is irrelevant), hence bit-identical staircases — with one merge
-        # pass and one version bump per profile per commit.
+        # is irrelevant), hence bit-identical staircases — with one
+        # in-place tail update and one version bump per profile per commit.
         dest_events: list = []
         src_events: dict[int, list] = {}
         # Outputs resident in mu from the task start until each consumer is

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from repro import MemoryProfile
 
+from .profile_oracle import MergePassProfile
+
 
 class TestBasics:
     def test_empty_profile(self):
@@ -211,8 +213,8 @@ def test_peak_is_max_of_used(ops):
 
 
 # ----------------------------------------------------------------------
-# add_batch: the batched commit path must be bit-identical to sequential
-# add() calls — same staircase function, same earliest_fit answers
+# add_batch: the in-place commit path must be bit-identical to the
+# merge-pass oracle — same lists, same block maxima, same answers
 # ----------------------------------------------------------------------
 float_event = st.tuples(
     st.floats(min_value=-8.0, max_value=8.0, allow_nan=False,
@@ -229,6 +231,25 @@ def _canonical(profile):
     return list(profile._xs), list(profile._vals)
 
 
+def _fresh_block_maxima(profile):
+    B = profile._BLOCK
+    vals = profile._vals
+    return [max(vals[b:b + B]) for b in range(0, len(vals), B)]
+
+
+def _assert_same(oracle, profile, needs):
+    assert profile._xs == oracle._xs
+    assert profile._vals == oracle._vals
+    assert profile.version == oracle.version
+    assert profile.peak() == oracle.peak()
+    for need in needs:
+        assert profile.earliest_fit(need) == oracle.earliest_fit(need)
+    for t in oracle._xs[-8:]:
+        assert profile.used_at(t) == oracle.used_at(t)
+    profile._repair_blocks()
+    assert profile._bmax == _fresh_block_maxima(profile)
+
+
 class TestAddBatch:
     def test_empty_and_noop_events(self):
         p = MemoryProfile(100)
@@ -238,7 +259,7 @@ class TestAddBatch:
         assert p.used_at(1.0) == 0.0
 
     def test_single_event_matches_add(self):
-        a = MemoryProfile(100)
+        a = MergePassProfile(100)
         b = MemoryProfile(100)
         a.add(5.0, 2.0, 9.0)
         b.add_batch([(5.0, 2.0, 9.0)])
@@ -252,16 +273,13 @@ class TestAddBatch:
     def test_commit_shaped_batch(self):
         """The event shapes one scheduler commit produces: an output
         allocation to +inf, same-memory releases, and a bounded transfer
-        window — against the sequential reference."""
+        window — against the merge-pass oracle."""
         events = [(7.5, 3.0, None), (-2.25, 10.0, None), (1.5, 1.0, 10.0)]
-        a = MemoryProfile(50)
+        a = MergePassProfile(50)
         b = MemoryProfile(50)
-        for ev in events:
-            a.add(*ev)
+        a.add_batch(events)
         b.add_batch(events)
-        assert _canonical(a) == _canonical(b)
-        for need in (0.5, 5.0, 42.5, 49.0):
-            assert a.earliest_fit(need) == b.earliest_fit(need)
+        _assert_same(a, b, (0.5, 5.0, 42.5, 49.0))
 
     @given(st.lists(float_event, max_size=10),
            st.lists(float_event, max_size=10),
@@ -269,11 +287,11 @@ class TestAddBatch:
     def test_batches_match_sequential_adds(self, first, second, need):
         """Two consecutive batches (with an earliest_fit query in between,
         to exercise the block-max dirty tracking) produce the exact
-        staircase and answers of one-at-a-time adds."""
+        staircase and answers of one-at-a-time adds on the oracle."""
         def end_of(start, length):
             return None if length is None else max(0.0, start) + length
 
-        a = MemoryProfile(30.0)
+        a = MergePassProfile(30.0)
         b = MemoryProfile(30.0)
         for amount, start, length in first:
             a.add(amount, start, end_of(start, length))
@@ -287,3 +305,72 @@ class TestAddBatch:
         assert _canonical(a) == _canonical(b)
         assert a.earliest_fit(need) == b.earliest_fit(need)
         assert a.peak() == b.peak()
+
+
+# Integer amounts and tenths (which do not add exactly in binary), so a
+# reordered summation would show as differing bits.
+amounts = st.one_of(st.integers(min_value=1, max_value=60).map(float),
+                    st.integers(min_value=1, max_value=600).map(
+                        lambda k: k / 10))
+
+
+@st.composite
+def commit_streams(draw):
+    """Batches shaped like scheduler commits on a forward-moving clock:
+    outputs allocated to +inf, inputs released to +inf, bounded transfer
+    windows; some events start behind the tail (or before 0), some
+    repeat times, some are no-ops."""
+    clock = 0.0
+    stream = []
+    for _ in range(draw(st.integers(min_value=60, max_value=120))):
+        clock += draw(st.sampled_from((0.0, 0.5, 1.0, 2.5, 7.0)))
+        events = []
+        for _ in range(draw(st.integers(min_value=1, max_value=5))):
+            kind = draw(st.sampled_from(("alloc", "release", "window",
+                                         "noop")))
+            start = clock - draw(st.sampled_from((0.0, 0.0, 1.0, 3.5,
+                                                  40.0)))
+            amount = draw(amounts)
+            if kind == "alloc":
+                events.append((amount, start, None))
+            elif kind == "release":
+                events.append((-amount, start, None))
+            elif kind == "window":
+                length = draw(st.sampled_from((0.5, 1.0, 4.0, 12.0)))
+                events.append((amount, start, start + length))
+            else:
+                events.append(draw(st.sampled_from(
+                    ((0.0, start, None), (amount, start, start),
+                     (amount, start, start - 1.0)))))
+        stream.append(events)
+    return stream
+
+
+@given(commit_streams(), st.data())
+def test_in_place_commits_match_merge_pass_oracle(stream, data):
+    """Long commit streams crossing the auto-compaction threshold: after
+    every commit the in-place profile holds exactly the oracle's lists,
+    version and block maxima, and answers every query alike."""
+    oracle = MergePassProfile(200.0)
+    profile = MemoryProfile(200.0)
+    for events in stream:
+        oracle.add_batch(events)
+        profile.add_batch(events)
+        needs = data.draw(st.lists(st.sampled_from(
+            (0.5, 10.0, 55.5, 120.0, 199.9)), max_size=2))
+        _assert_same(oracle, profile, needs)
+    assert profile.n_segments() == oracle.n_segments()
+
+
+def test_commit_stream_crosses_compaction_threshold():
+    """The stream shape above does reach auto-compaction: a plain
+    allocate/release churn past ``_COMPACT_MIN`` breakpoints."""
+    oracle = MergePassProfile(100.0)
+    profile = MemoryProfile(100.0)
+    for k in range(200):
+        events = [(1.5, k * 1.0, None), (-1.5, k * 1.0 + 0.5, None),
+                  (0.1, k * 1.0 - 3.0, k * 1.0 + 2.0)]
+        oracle.add_batch(events)
+        profile.add_batch(events)
+        _assert_same(oracle, profile, (50.0, 99.0))
+    assert profile._compact_floor > 1

@@ -119,3 +119,35 @@ def test_speedup_gate_threshold_flag(tmp_path):
                                             batch_speedup=1.3)
     assert _gate(["--scaling", str(scaling), "--service", str(service),
                   "--min-speedup", "1.25"]) == 0
+
+
+def _with_growth(scaling, memheft_slope):
+    import json
+    report = json.loads(scaling.read_text())
+    report["growth"] = {"sizes": [1000, 2000, 4000], "repeats": 3,
+                        "slopes": {"memheft": memheft_slope,
+                                   "memminmin": 1.9}}
+    scaling.write_text(json.dumps(report))
+
+
+def test_growth_gate_passes_and_gates_memheft_only(tmp_path):
+    scaling, _, _ = _write_reports(tmp_path)
+    _with_growth(scaling, 1.1)
+    assert _gate(["--scaling", str(scaling),
+                  "--max-growth-exponent", "1.3"]) == 0
+
+
+def test_growth_gate_fails_on_quadratic_growth(tmp_path, capsys):
+    scaling, _, _ = _write_reports(tmp_path)
+    _with_growth(scaling, 2.0)
+    assert _gate(["--scaling", str(scaling),
+                  "--max-growth-exponent", "1.3"]) == 1
+    assert "n^2.00 > allowed n^1.3" in capsys.readouterr().err
+    # Without the flag the growth section is not gated.
+    assert _gate(["--scaling", str(scaling)]) == 0
+
+
+def test_growth_gate_fails_without_growth_section(tmp_path):
+    scaling, _, _ = _write_reports(tmp_path)
+    assert _gate(["--scaling", str(scaling),
+                  "--max-growth-exponent", "1.3"]) == 1
